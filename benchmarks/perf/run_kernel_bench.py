@@ -1,30 +1,27 @@
-"""Wall-clock perf harness for the simulation kernel fast path.
+"""Wall-clock perf harness for the simulation kernel.
 
-Runs the canonical workloads (see :mod:`workloads`) three times each --
-fast path off (the per-hop reference slow path), fast path on (kernel
-fast lanes + cut-through ExpressFlights), and batched (fast path +
-``PanicConfig.batch_execution``: trajectory/frame trains with
-vectorized per-frame work) -- and writes ``BENCH_kernel.json``.
+Runs the canonical workloads (see :mod:`workloads`) twice each -- the
+scalar run (one kernel event per NoC hop and engine step) and the
+batched run (``PanicConfig.batch_execution``: trajectory/frame trains
+with vectorized per-frame work) -- and writes ``BENCH_kernel.json``.
 
 Metrics per workload
 --------------------
-``speedup_wall``
-    slow wall-clock / fast wall-clock, best-of-``--repeats`` each side.
 ``events_per_sec``
-    **Normalized** events/sec: *reference* (slow-path) event count
-    divided by *fast-path* wall time.  The fast path deliberately fires
-    fewer Python-level events for the same simulated work, so dividing
-    its own (smaller) event count by its wall time would understate the
-    win; normalizing to the reference count makes events/sec a pure
-    wall-clock speed metric on a fixed workload, comparable across
-    kernels.  ``events_per_sec_raw`` (fast events / fast wall) is also
-    recorded.
-``speedup_wall_batched`` / ``events_per_sec_batched``
-    The same two metrics for the batched run (reference event count
-    over the batched wall), plus ``events_per_sec_batched_raw``.
+    Scalar events fired / scalar wall time, best-of-``--repeats``.
+``speedup_wall_batched``
+    scalar wall-clock / batched wall-clock.
+``events_per_sec_batched``
+    **Normalized** events/sec: the *scalar* event count divided by the
+    batched wall time.  Trains fire fewer Python-level events for the
+    same simulated work, so dividing their own (smaller) count by their
+    wall time would understate the win; normalizing to the scalar count
+    makes this a pure wall-clock speed metric on a fixed workload.
+    ``events_per_sec_batched_raw`` (batched events / batched wall) is
+    also recorded.
 ``sim_gbps_per_wall_sec``
     Simulated gigabits delivered to host software per wall-clock second
-    of fast-path simulation.
+    of scalar simulation.
 
 Usage::
 
@@ -70,11 +67,11 @@ from bench_schema import envelope, write_json
 from workloads import WORKLOADS
 
 
-def measure(name: str, fast_path: bool, seed: int, frames: Optional[int],
-            repeats: int, batch: bool = False) -> dict:
+def measure(name: str, seed: int, frames: Optional[int], repeats: int,
+            batch: bool = False) -> dict:
     """Best-of-``repeats`` run of one workload (determinism makes the
     minimum the right statistic: all variance is OS noise)."""
-    kwargs = {"fast_path": fast_path, "seed": seed, "batch": batch}
+    kwargs = {"seed": seed, "batch": batch}
     if frames is not None:
         kwargs["frames"] = frames
     best = None
@@ -93,36 +90,29 @@ def _check_identical(name: str, reference: dict, candidate: dict,
             candidate["bits_delivered"]):
         raise AssertionError(
             f"{name}: {label} simulated results diverged from the "
-            "reference -- run tests/test_fast_path_equivalence.py / "
-            "tests/test_batched_execution.py"
+            "reference -- run tests/test_batched_execution.py"
         )
 
 
 def bench_workload(name: str, seed: int, frames: Optional[int],
                    repeats: int) -> dict:
-    slow = measure(name, False, seed, frames, repeats)
-    fast = measure(name, True, seed, frames, repeats)
-    batched = measure(name, True, seed, frames, repeats, batch=True)
-    _check_identical(name, slow, fast, "fast-path")
-    _check_identical(name, slow, batched, "batched")
-    fast_wall = fast["wall_seconds"]
+    scalar = measure(name, seed, frames, repeats)
+    batched = measure(name, seed, frames, repeats, batch=True)
+    _check_identical(name, scalar, batched, "batched")
+    scalar_wall = scalar["wall_seconds"]
     batched_wall = batched["wall_seconds"]
     return {
         "seed": seed,
-        "fast": fast,
-        "slow": slow,
+        "scalar": scalar,
         "batched": batched,
-        "speedup_wall": round(slow["wall_seconds"] / fast_wall, 3),
-        "events_per_sec": round(slow["events_fired"] / fast_wall),
-        "events_per_sec_raw": round(fast["events_fired"] / fast_wall),
+        "events_per_sec": round(scalar["events_fired"] / scalar_wall),
         "sim_gbps_per_wall_sec": round(
-            fast["bits_delivered"] / 1e9 / fast_wall, 3),
-        # Batched-lane metrics, normalized the same way: the reference
-        # (slow-path) event count over the batched wall.
+            scalar["bits_delivered"] / 1e9 / scalar_wall, 3),
+        # Batched-lane metrics, normalized to the scalar event count.
         "speedup_wall_batched": round(
-            slow["wall_seconds"] / batched_wall, 3),
+            scalar["wall_seconds"] / batched_wall, 3),
         "events_per_sec_batched": round(
-            slow["events_fired"] / batched_wall),
+            scalar["events_fired"] / batched_wall),
         "events_per_sec_batched_raw": round(
             batched["events_fired"] / batched_wall),
     }
@@ -135,7 +125,7 @@ def profile_workload(name: str, seed: int, frames: Optional[int],
     import cProfile
     import pstats
 
-    kwargs = {"fast_path": True, "seed": seed, "batch": batch}
+    kwargs = {"seed": seed, "batch": batch}
     if frames is not None:
         kwargs["frames"] = frames
     workload = WORKLOADS[name]
@@ -186,8 +176,7 @@ def bench_telemetry_overhead(seed: int, frames: Optional[int],
     """
     from repro.telemetry import TelemetryConfig
 
-    kwargs = {"fast_path": True, "seed": seed,
-              "frames": max(frames or 400, 300)}
+    kwargs = {"seed": seed, "frames": max(frames or 400, 300)}
     idle = TelemetryConfig(sample_every=0, probe_period_ps=0)
     workload = WORKLOADS["chaining_uncontended"]
     ratios = []
@@ -350,8 +339,7 @@ def main(argv=None) -> int:
         results[name] = bench_workload(
             name, args.seed, args.frames, args.repeats)
         r = results[name]
-        print(f"{name}: {r['speedup_wall']}x wall speedup, "
-              f"{r['events_per_sec']:,} events/s (normalized), "
+        print(f"{name}: {r['events_per_sec']:,} events/s, "
               f"{r['speedup_wall_batched']}x batched "
               f"({r['events_per_sec_batched']:,} events/s), "
               f"{r['sim_gbps_per_wall_sec']} sim-Gb per wall-second")
@@ -375,8 +363,7 @@ def main(argv=None) -> int:
     series = [
         {"workload": name, "metric": metric, "value": results[name][metric]}
         for name in results
-        for metric in ("speedup_wall", "events_per_sec",
-                       "events_per_sec_raw", "sim_gbps_per_wall_sec",
+        for metric in ("events_per_sec", "sim_gbps_per_wall_sec",
                        "speedup_wall_batched", "events_per_sec_batched",
                        "events_per_sec_batched_raw")
     ]
@@ -389,7 +376,7 @@ def main(argv=None) -> int:
                        "metric": "overhead_frac",
                        "value": int_overhead["overhead_frac"]})
     payload = envelope(
-        bench="kernel_fast_path",
+        bench="kernel",
         params={"repeats": args.repeats, "seed": args.seed,
                 "frames": args.frames, "workloads": names},
         workloads=results,

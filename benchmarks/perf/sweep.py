@@ -1,11 +1,11 @@
 """Multi-seed, multi-config perf sweep on all cores.
 
-Fans every (workload, seed, fast_path) combination out with
+Fans every (workload, seed, batch) combination out with
 :func:`repro.sim.shard.parallel_map` -- the same pipe-fed worker pool
 the sharded rack runner uses -- each combination being an independent
 deterministic simulation, and writes one aggregated JSON with
-per-combination wall times plus per-workload speedup summaries across
-seeds.
+per-combination wall times plus per-workload summaries, across seeds,
+of the batched lane's speedup over the scalar run.
 
 Usage::
 
@@ -27,13 +27,13 @@ from repro.sim.shard import parallel_map
 
 
 def _run_combo(combo):
-    """Worker: one (workload, seed, fast_path, frames) simulation."""
-    name, seed, fast_path, frames = combo
-    kwargs = {"fast_path": fast_path, "seed": seed}
+    """Worker: one (workload, seed, batch, frames) simulation."""
+    name, seed, batch, frames = combo
+    kwargs = {"seed": seed, "batch": batch}
     if frames is not None:
         kwargs["frames"] = frames
     result = WORKLOADS[name](**kwargs)
-    return {"workload": name, "seed": seed, "fast_path": fast_path, **result}
+    return {"workload": name, "seed": seed, "batch": batch, **result}
 
 
 def main(argv=None) -> int:
@@ -53,10 +53,10 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
     combos = [
-        (name, seed, fast_path, args.frames)
+        (name, seed, batch, args.frames)
         for name in names
         for seed in seeds
-        for fast_path in (False, True)
+        for batch in (False, True)
     ]
     runs = parallel_map(_run_combo, combos, jobs=args.jobs)
 
@@ -64,26 +64,28 @@ def main(argv=None) -> int:
     for name in names:
         speedups = []
         for seed in seeds:
-            by_fast = {
-                r["fast_path"]: r for r in runs
+            by_batch = {
+                r["batch"]: r for r in runs
                 if r["workload"] == name and r["seed"] == seed
             }
             speedups.append(
-                by_fast[False]["wall_seconds"] / by_fast[True]["wall_seconds"]
+                by_batch[False]["wall_seconds"]
+                / by_batch[True]["wall_seconds"]
             )
         summary[name] = {
             "seeds": seeds,
-            "speedup_wall_min": round(min(speedups), 3),
-            "speedup_wall_mean": round(sum(speedups) / len(speedups), 3),
-            "speedup_wall_max": round(max(speedups), 3),
+            "speedup_wall_batched_min": round(min(speedups), 3),
+            "speedup_wall_batched_mean": round(
+                sum(speedups) / len(speedups), 3),
+            "speedup_wall_batched_max": round(max(speedups), 3),
         }
-        print(f"{name}: speedup across seeds {seeds}: "
-              f"min {summary[name]['speedup_wall_min']}x / "
-              f"mean {summary[name]['speedup_wall_mean']}x / "
-              f"max {summary[name]['speedup_wall_max']}x")
+        print(f"{name}: batched speedup across seeds {seeds}: "
+              f"min {summary[name]['speedup_wall_batched_min']}x / "
+              f"mean {summary[name]['speedup_wall_batched_mean']}x / "
+              f"max {summary[name]['speedup_wall_batched_max']}x")
 
     with open(args.out, "w") as fh:
-        json.dump({"bench": "kernel_fast_path_sweep", "jobs": args.jobs,
+        json.dump({"bench": "kernel_sweep", "jobs": args.jobs,
                    "runs": runs, "summary": summary},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -2,38 +2,31 @@
 
 Every workload builds a PANIC NIC, drives a deterministic packet load
 through it, and reports how much *wall-clock* the event loop burned next
-to how much *simulated* work it retired.  The same workload runs with
-the fast path on (``PanicConfig.fast_path=True``: kernel fast lanes +
-cut-through NoC ExpressFlights) and off (pure per-hop slow path); the
-simulated results are bit-identical either way (see
-``tests/test_fast_path_equivalence.py``), so any wall-clock difference
-is pure simulator overhead.
+to how much *simulated* work it retired.
 
 Workloads mirror the repo's canonical scenarios:
 
 ``chaining_uncontended``
     The headline multi-hop chaining workload: a five-engine offload
     chain with generous inter-packet gaps, so every NoC traversal is
-    uncontended and eligible for cut-through.  This is where the fast
-    path collapses the most per-hop events.
+    uncontended.
 ``chaining_contended``
     The same two-offload chain as ``benchmarks/test_chaining.py`` at a
-    tight packet gap: queues form, express flights de-speculate, and
-    the slow path carries most hops.  Measures fast-path overhead when
-    it *cannot* win.
+    tight packet gap: queues form and messages wait for channels and
+    credits.
 ``isolation``
     The slack-scheduler isolation scenario (contended DMA, a bandwidth
     hog vs. a latency-sensitive tenant) from
     ``benchmarks/test_isolation_slack.py``.
 ``fault_recovery``
     The crash + heartbeat-failover scenario from
-    ``benchmarks/test_fault_recovery.py`` -- armed fault injection
-    forces the NoC fast path to stand down on the faulted lanes.
+    ``benchmarks/test_fault_recovery.py`` -- armed fault injection,
+    a crash and a failover mid-run.
 
 Every workload also takes ``batch`` (``PanicConfig.batch_execution``):
-on top of the fast path, the kernel coalesces whole frame trajectories
-and same-chain frame trains into single events (``repro.core.train``),
-again bit-identical to the scalar run.
+the kernel coalesces whole frame trajectories and same-chain frame
+trains into single events (``repro.core.train``), bit-identical to the
+scalar run (see ``tests/test_batched_execution.py``).
 
 Each runner returns a dict with ``wall_seconds`` (event-loop time),
 ``events_fired``, ``sim_ps`` (final simulated time), ``bits_delivered``
@@ -95,14 +88,13 @@ def _count_deliveries(nic: PanicNic) -> Dict[str, int]:
     return bits
 
 
-def chaining_uncontended(fast_path: bool = True, seed: int = 1,
-                         frames: int = 400, telemetry=None,
+def chaining_uncontended(seed: int = 1, frames: int = 400, telemetry=None,
                          batch: bool = False) -> dict:
     """Deep five-engine chain, one packet in flight at a time."""
     sim = Simulator()
     chain = ["checksum", "checksum1", "checksum2", "checksum3", "checksum4"]
     nic = PanicNic(sim, PanicConfig(
-        ports=1, offloads=tuple(chain), seed=seed, fast_path=fast_path,
+        ports=1, offloads=tuple(chain), seed=seed,
         telemetry=telemetry, batch_execution=batch,
     ))
     nic.control.route_dscp(1, chain)
@@ -114,13 +106,13 @@ def chaining_uncontended(fast_path: bool = True, seed: int = 1,
     return _timed_run(sim, bits)
 
 
-def chaining_contended(fast_path: bool = True, seed: int = 1,
-                       frames: int = 400, batch: bool = False) -> dict:
-    """Two-offload chain at a tight gap: queues form, cut-through yields."""
+def chaining_contended(seed: int = 1, frames: int = 400,
+                       batch: bool = False) -> dict:
+    """Two-offload chain at a tight gap: queues form on the mesh."""
     sim = Simulator()
     nic = PanicNic(sim, PanicConfig(
         ports=1, offloads=("regex", "checksum"), seed=seed,
-        fast_path=fast_path, batch_execution=batch,
+        batch_execution=batch,
         offload_params={"regex": {"patterns": [b"x"],
                                   "cycles_per_byte": 0.5}},
     ))
@@ -132,11 +124,11 @@ def chaining_contended(fast_path: bool = True, seed: int = 1,
     return _timed_run(sim, bits)
 
 
-def isolation(fast_path: bool = True, seed: int = 1,
-              frames: int = 100, batch: bool = False) -> dict:
+def isolation(seed: int = 1, frames: int = 100,
+              batch: bool = False) -> dict:
     """Slack scheduling under a DMA hog (benchmarks/test_isolation_slack)."""
     sim = Simulator()
-    nic = PanicNic(sim, PanicConfig(ports=1, seed=seed, fast_path=fast_path,
+    nic = PanicNic(sim, PanicConfig(ports=1, seed=seed,
                                     batch_execution=batch))
     nic.host.contention_ps = 2 * US
     nic.control.set_tenant_slack(1, 10 * US)
@@ -152,13 +144,13 @@ def isolation(fast_path: bool = True, seed: int = 1,
     return _timed_run(sim, bits)
 
 
-def fault_recovery(fast_path: bool = True, seed: int = 3,
-                   frames: int = 400, batch: bool = False) -> dict:
+def fault_recovery(seed: int = 3, frames: int = 400,
+                   batch: bool = False) -> dict:
     """Mid-run engine crash + heartbeat failover (test_fault_recovery)."""
     sim = Simulator()
     nic = PanicNic(sim, PanicConfig(
         ports=1, offloads=("ipsec", "ipsec1", "compression", "kvcache"),
-        seed=seed, fast_path=fast_path, batch_execution=batch,
+        seed=seed, batch_execution=batch,
     ))
     nic.set_backup("ipsec", "ipsec1")
     nic.control.route_dscp(10, ["ipsec"])

@@ -48,14 +48,11 @@ class PanicConfig:
     channel_bits: int = 128
     freq_hz: float = 500 * MHZ
     noc_credits: int = 8
-    # Cut-through express transfers over idle NoC paths (repro.noc.express).
-    # Purely a simulator-speed optimisation: simulated timestamps, delivery
-    # order, and quiesced statistics are identical with it off.
-    fast_path: bool = True
     # Flow-keyed RMT trajectory memo (repro.rmt.pipeline.TrajectoryMemo):
     # repeat flows skip the match machinery but re-execute every action.
-    # Same equivalence contract as fast_path -- purely a simulator-speed
-    # optimisation, invalidated on any table or register mutation.
+    # Purely a simulator-speed optimisation: simulated timestamps,
+    # delivery order, and statistics are identical with it off.  It is
+    # invalidated on any table or register mutation.
     rmt_memo: bool = True
 
     # Heavyweight RMT pipeline (section 4.2: F * P pps).
@@ -109,9 +106,9 @@ class PanicConfig:
     # Batched execution (repro.core.train): trajectory trains replay a
     # frame's whole path in one kernel event over quiescent windows, and
     # frame trains service a backlogged engine's queue as one batch with
-    # vectorized per-frame work.  Same equivalence contract as fast_path
-    # and rmt_memo -- stats, timestamps, deliveries, and RNG draws are
-    # bit-identical with it on or off; trains break up (refuse or hand
+    # vectorized per-frame work.  Same equivalence contract as rmt_memo:
+    # stats, timestamps, deliveries, and RNG draws are bit-identical
+    # with it on or off; trains break up (refuse or hand
     # off to the scalar machinery) whenever contention, armed faults,
     # sampled telemetry, or a run()/shard window boundary could observe
     # an intermediate state.

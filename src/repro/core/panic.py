@@ -88,7 +88,6 @@ class PanicNic:
                 channel_bits=self.config.channel_bits,
                 freq_hz=self.config.freq_hz,
                 credits=self.config.noc_credits,
-                fast_path=self.config.fast_path,
             ),
             name=f"{name}.mesh",
         )

@@ -5,16 +5,15 @@ end: wire arrival, a loopback enqueue, per-engine pop/finish pairs, a NoC
 event per hop, DMA, PCIe, interrupts.  Almost all of that Python work is
 pure dispatch overhead whenever the NIC is *quiescent* -- no other event
 is pending before the frame's next state change, so every intermediate
-timestamp follows arithmetically, exactly like
-:class:`~repro.noc.express.ExpressFlight` collapses an idle NoC route
-into one delivery event.
+timestamp follows arithmetically (an idle ``n``-hop NoC route delivers
+exactly ``n`` serialization delays after the send).
 
-:class:`TrainLane` generalizes that idea from wires to whole engines.  It
-provides the two train shapes behind ``PanicConfig.batch_execution``:
+:class:`TrainLane` provides the two train shapes behind
+``PanicConfig.batch_execution``:
 
 **Trajectory trains** (:meth:`try_ride`) fire at RX arrival: one kernel
 event carries a single frame across its *entire* trajectory -- MAC
-service, the express hop to the RMT pipeline, classification, every
+service, the NoC hop to the RMT pipeline, classification, every
 chain engine, DMA, and PCIe -- committing the same state mutations the
 scalar path would, at the same simulated timestamps, by shifting the
 kernel clock forward inside the event before each genuine
@@ -43,9 +42,9 @@ Three mechanisms enforce it:
   heap event and the current ``run()`` deadline.  The deadline bound is
   what keeps trains inside a ShardBoundary sync window -- sharded and
   monolithic runs stay bit-identical at any worker count.
-* **Flush-on-anything.**  Per-hop eligibility checks mirror the express
-  path's idle scan: armed faults, slowdowns, crashed engines, buffered
-  routers, reserved channels, exhausted credits, pointer-mode payloads,
+* **Flush-on-anything.**  Per-hop eligibility checks require an idle
+  route: armed faults, slowdowns, crashed engines, buffered routers,
+  busy or queued channels, exhausted credits, pointer-mode payloads,
   CONTROL heartbeats, and sampled (``__trace__``) packets all refuse the
   train, falling back to the scalar machinery *before any mutation*.
   Mid-trajectory, the frame instead hands off: the lane reconstructs the
@@ -54,13 +53,12 @@ Three mechanisms enforce it:
   event, so the horizon already guarantees no train commits state at or
   beyond T.
 * **Exact replay.**  Counters, latency trackers, round-robin rotations,
-  PIFO sequence numbers, message ids, and RNG draws are advanced in the
-  same order and by the same amounts as the scalar path.  The hot hop
-  and service recipes inline their scalar counterparts
-  (``PifoQueue.transit``, ``LatencyTracker.observe``,
-  ``NocChannel._account_express_hop``,
-  ``NocRouter._account_express_forward``, ``RateMeter.record``) --
-  each inlined block cites the method it replays; keep them in sync.
+  PIFO sequence numbers, and RNG draws are advanced in the same order
+  and by the same amounts as the scalar path.  The hot hop and service
+  recipes inline their scalar counterparts (``PifoQueue.transit``,
+  ``LatencyTracker.observe``, ``Channel._try_start``,
+  ``Router.on_deliver``, ``RateMeter.record``) -- each inlined block
+  cites the method it replays; keep them in sync.
 
 The lane's own counters live outside ``PanicNic.stats()`` -- they count
 simulator mechanics, not NIC behaviour, and stats trees must not differ
@@ -75,7 +73,7 @@ from repro.engines.base import Engine
 from repro.engines.checksum_engine import ChecksumEngine, _rx_verdict
 from repro.engines.ethernet import EthernetPort
 from repro.engines.rmt_engine import RmtPipelineEngine
-from repro.noc.message import NocMessage, _message_ids
+from repro.noc.message import NocMessage
 from repro.noc.router import Router
 from repro.packet.packet import Direction, MessageKind, Packet
 
@@ -212,10 +210,9 @@ class TrainLane:
         if packet.kind is _CONTROL:
             return False
         router = self._router_of(engine)
-        if router is False or router._buffered or router._express_flights:
+        if router is False or router._buffered:
             # Parked (refused) messages have no heap event to bound the
-            # horizon, and reserved flights must de-speculate against
-            # genuine deliveries only.
+            # horizon.
             return False
         return True
 
@@ -258,19 +255,16 @@ class TrainLane:
         router = self._routers.get(key)
         if router is None:
             router = self._router_of(port)
-        if router is False or router._buffered or router._express_flights:
+        if router is False or router._buffered:
             self.refusals += 1
             return False
         self._h = horizon
-        # Engine._loopback: the local re-entry envelope.  Drawing the
-        # message id here (first action, as scalar does) keeps the
-        # global id sequence aligned; the envelope itself materializes
+        # Engine._loopback: the local re-entry envelope materializes
         # only if the ride hands off mid-service.
-        mid = next(_message_ids)
         self.trajectories += 1
         addr = port.address
         now = sim.now
-        self._ride(port, kind, router, packet, now, mid, addr, addr, now, 0)
+        self._ride(port, kind, router, packet, now, addr, addr, now, 0)
         return True
 
     def deferred_wire_ride(self, port, packet: Packet, t_arr: int,
@@ -347,7 +341,7 @@ class TrainLane:
         router = self._routers.get(key)
         if router is None:
             router = self._router_of(port)
-        if router is False or router._buffered or router._express_flights:
+        if router is False or router._buffered:
             self.refusals += 1
             return False
         self._h = horizon
@@ -361,24 +355,23 @@ class TrainLane:
         meta.annotations["mac_rx"] = True
         port.rx_frames.add()
         port.rx_bits.record(t_arr, packet.wire_bits)
-        mid = next(_message_ids)
         self.trajectories += 1
         addr = port.address
-        self._ride(port, kind, router, packet, t_arr, mid, addr, addr,
-                   t_arr, 0)
+        self._ride(port, kind, router, packet, t_arr, addr, addr, t_arr, 0)
         return True
 
     def _ride(self, engine: Engine, kind: str, erouter, packet: Packet,
-              t_arr: int, mid: int, src: int, dest: int,
+              t_arr: int, src: int, dest: int,
               inject_ps: int, hops: int) -> None:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
         Each pass serves ``packet`` at an idle ``engine`` -- mirroring
         ``Engine.receive`` + ``Engine._try_start`` + ``Engine._finish``
         (base) or the ``RmtPipelineEngine`` pair (rmt) -- then attempts
-        to commit the next NoC traversal arithmetically (mirroring
-        ``Mesh._try_express`` + ``ExpressFlight._finish`` and the final
-        router's delivery pump) and continues at the target.  Any leg
+        to commit the next NoC traversal arithmetically (mirroring the
+        per-hop ``Channel._try_start``/``Router.on_deliver`` pairs over
+        an idle route, and the final router's delivery) and continues at
+        the target.  Any leg
         that cannot continue executes the *exact* scalar statement at
         the already-advanced clock and ends the ride; every event it
         schedules lies at or after ``now``, so the kernel resumes
@@ -387,7 +380,7 @@ class TrainLane:
         Pre-conditions, re-established before each pass: the inlined
         ``_engine_ready`` held for ``engine`` (whose local router is
         ``erouter``) and ``now <= t_arr < self._h``.  The
-        ``mid``/``src``/``dest``/``inject_ps``/``hops`` quintuple
+        ``src``/``dest``/``inject_ps``/``hops`` quadruple
         describes the in-flight envelope, materialized as a real
         :class:`NocMessage` only on a mid-service handoff.
         """
@@ -409,7 +402,7 @@ class TrainLane:
                 rec = self._recipe_of(engine, kind)
             (queue, qseq, qpushed, qlat, slat, processed, name,
              csum_handle, csum_svc, address, lookup_table, lookup_ps,
-             inj, expr_cache, ser_cache, injected, meter, ii_ps,
+             inj, path_cache, ser_cache, injected, meter, ii_ps,
              lat_ps) = rec
             sim.now = t_arr  # monotonic: t_arr >= now on entry
             # receive(): enqueue_ps is stamped then immediately popped
@@ -435,7 +428,7 @@ class TrainLane:
                 if t_fin >= h:
                     sim.schedule_at(
                         t_fin, engine._finish_rmt,
-                        NocMessage(packet, dest, src, inject_ps, hops, mid),
+                        NocMessage(packet, dest, src, inject_ps, hops),
                         start)
                     self.handoffs += 1
                     return
@@ -506,7 +499,7 @@ class TrainLane:
                     engine._busy_lanes += 1
                     sim.schedule_at(
                         t_fin, engine._finish,
-                        NocMessage(packet, dest, src, inject_ps, hops, mid),
+                        NocMessage(packet, dest, src, inject_ps, hops),
                         t_arr)
                     self.handoffs += 1
                     return
@@ -580,9 +573,9 @@ class TrainLane:
                     engine.schedule(lookup_delay, engine._loopback,
                                     out_packet)
                 return
-            # -- Attempt the next traversal: Mesh._try_express's idle
-            # scan over the cached express path.  Any failed check falls
-            # back to the scalar send (mutating nothing first).
+            # -- Attempt the next traversal: an idle scan over the
+            # cached static route.  Any failed check falls back to the
+            # scalar send (mutating nothing first).
             t_send = t_fin + lookup_delay
             if out_packet is not packet:
                 packet = out_packet
@@ -590,13 +583,12 @@ class TrainLane:
                 trail = None
             if t_send >= h or "__trace__" in ann or "__int__" in ann:
                 break
-            path = expr_cache.get(ndest, _MISS)
+            path = path_cache.get(ndest, _MISS)
             if path is _MISS:
-                path = self.mesh._build_express_path(inj, ndest)
-                expr_cache[ndest] = path
+                path = self._path_of(inj, ndest)
+                path_cache[ndest] = path
             if path is None or (
                     inj._transfer_in_progress or inj._pending
-                    or inj._express_flight is not None
                     or inj._fault_drops or inj._fault_corruptions
                     or inj._credits <= 0):
                 break
@@ -604,7 +596,6 @@ class TrainLane:
             busy = False
             for router, out in checks:
                 if (router._buffered
-                        or out._express_flight is not None
                         or out._transfer_in_progress
                         or out._pending
                         or out._credits <= 0
@@ -612,8 +603,7 @@ class TrainLane:
                         or out._fault_corruptions):
                     busy = True
                     break
-            if (busy or final_router._buffered
-                    or final_router._express_flights):
+            if busy or final_router._buffered:
                 break
             target = final_router.endpoint
             if target is None:
@@ -634,8 +624,7 @@ class TrainLane:
             trouter = routers.get(key)
             if trouter is None:
                 trouter = self._router_of(target)
-            if (trouter is False or trouter._buffered
-                    or trouter._express_flights):
+            if trouter is False or trouter._buffered:
                 break
             # packet.chip_bits inline (pointer-mode noc_bits override is
             # impossible here -- payload_buffer engines refuse rides --
@@ -654,14 +643,13 @@ class TrainLane:
             t_arrive = t_send + n_hops * ser
             if t_arrive >= h:
                 break
-            # -- Commit.  NocPort.send at t_send: the message-id draw,
-            # then the injected count.
+            # -- Commit.  NocPort.send at t_send: the injected count.
             sim.now = t_send  # t_send = now + lookup_delay
-            mid = next(_message_ids)
             injected.value += 1
-            # ExpressFlight._finish: arithmetic hop windows.  Per
-            # channel, _account_express_hop(bits, begin, begin + ser)
-            # inline; the credit debit and return cancel.
+            # Channel._try_start per hop, at arithmetic windows: hop i
+            # serializes over [t_send + i*ser, t_send + (i+1)*ser].  The
+            # credit each hop consumes is released by the next router's
+            # forward, so the pools end where they started.
             end = t_send
             for channel in channels:
                 end += ser
@@ -670,19 +658,19 @@ class TrainLane:
                 channel._busy_accum_ps += ser
                 if end > channel._busy_until:
                     channel._busy_until = end
-            # Per forwarding router, _account_express_forward() inline:
-            # one forwarded count + the pump pass's two rotations.
+            # Per forwarding router, Router.on_deliver at an idle router:
+            # one forwarded count + two rotations (the pass, and the
+            # extra pass the output's on_drain asks for).
             for router in mid_routers:
                 router.forwarded.value += 1
                 rr = router._rr_order
                 if rr:
                     rr.append(rr.pop(0))
                     rr.append(rr.pop(0))
-            # Final delivery: on_deliver -> pump -> endpoint accept.
-            # The express credit debit and the pump's release_credit
-            # cancel; the delivery counts once, the pump pass rotates
-            # once (the accept's own notify_space rotation opens the
-            # next loop pass).
+            # Final delivery: on_deliver -> endpoint accept.  The last
+            # hop's credit debit and release cancel; the delivery counts
+            # once, the pass rotates once (the accept's own notify_space
+            # rotation opens the next loop pass).
             final_router.delivered.value += 1
             rr = final_router._rr_order
             if rr:
@@ -711,10 +699,11 @@ class TrainLane:
         Every entry is an object the engine's ``__init__`` creates and
         no repo code ever reassigns (queue, trackers, counters, the NoC
         port and its channel caches), plus two method-identity flags
-        for the stock checksum shortcuts and the RMT engine's constant
-        interval/latency.  Mutable *state* (occupancy, busy lanes,
-        ``_next_accept_ps``, channel idleness) is always read from the
-        live objects, never from the recipe.
+        for the stock checksum shortcuts, the RMT engine's constant
+        interval/latency, and the engine's own static-route cache.
+        Mutable *state* (occupancy, busy lanes, ``_next_accept_ps``,
+        channel idleness) is always read from the live objects, never
+        from the recipe.
         """
         cls = type(engine)
         port = engine.port
@@ -734,7 +723,7 @@ class TrainLane:
             engine.lookup_table,
             0 if rmt else engine._lookup_ps,
             inj,
-            inj._express_paths,
+            {},  # destination -> _path_of(inj, destination)
             inj._ser_cache,
             port.injected,
             engine.pps_meter if rmt else None,
@@ -743,6 +732,28 @@ class TrainLane:
         )
         self._recipes[id(engine)] = rec
         return rec
+
+    def _path_of(self, inj, dest: int):
+        """``(channels, forwarding routers, final router, checks)`` of the
+        static route from inject channel ``inj`` to ``dest``, walked over
+        the routers' next-hop tables, with ``checks`` pairing each
+        forwarding router with its output channel; None when ``dest`` is
+        unroutable (the scalar send then raises at its forwarding
+        router)."""
+        sink = self.mesh._channel_sink
+        router = sink[inj]
+        channels = [inj]
+        routers = []
+        while router.address != dest:
+            try:
+                out = router.next_hop(dest)
+            except (ValueError, RuntimeError):
+                return None
+            routers.append(router)
+            channels.append(out)
+            router = sink[out]
+        return (tuple(channels), tuple(routers), router,
+                tuple(zip(routers, channels[1:])))
 
     def _route_multi(self, engine: Engine, outputs, rmt: bool) -> None:
         """Multicast/drop outputs: the scalar routing loop verbatim
@@ -799,7 +810,7 @@ class TrainLane:
         if horizon is None:
             return False
         router = self._router_of(engine)
-        if router is False or router._buffered or router._express_flights:
+        if router is False or router._buffered:
             return False
         address = engine.address
         plan = []

@@ -108,7 +108,6 @@ def build_lb_rack_nic(
     stagger_ps: int = 10 * US,
     payload_bytes: int = 256,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     int_=None,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
@@ -145,7 +144,6 @@ def build_lb_rack_nic(
         ports=n_nics - 1,
         offloads=("checksum",),
         seed=seed + index,
-        fast_path=fast_path,
         telemetry=telemetry,
         int_=int_,
         verify_checksums=True,
@@ -288,7 +286,6 @@ def lb_rack_topology(
     payload_bytes: int = 256,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     int_=None,
     window: int = DEFAULT_WINDOW,
@@ -320,7 +317,6 @@ def lb_rack_topology(
                 "stagger_ps": stagger_ps,
                 "payload_bytes": payload_bytes,
                 "seed": seed,
-                "fast_path": fast_path,
                 "telemetry": telemetry,
                 "int_": int_,
                 "propagation_ps": propagation_ps,

@@ -25,7 +25,6 @@ from repro.sim.kernel import Component, Simulator
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:
-    from repro.noc.express import ExpressFlight
     from repro.noc.message import NocMessage
 
 #: Per-hop router pipeline latency in cycles (paper section 3.1.2).
@@ -79,19 +78,6 @@ class Channel(Component):
         self._busy_accum_ps = 0
         self._transfer_in_progress = False
         self._ser_cache: dict = {}
-        # Cut-through fast path (see repro.noc.express): the fabric wires
-        # `_express_route` on channels whose receiver is a router; while a
-        # flight holds this channel, `_express_flight` marks the
-        # reservation so interference de-speculates before proceeding.
-        self._express_route: Optional[
-            Callable[["NocMessage", "Channel"], bool]
-        ] = None
-        self._express_flight: Optional["ExpressFlight"] = None
-        # Static route cache for express walks launched here: destination
-        # address -> (channels, routers, final_router), or None when the
-        # route cannot be expressed (unroutable / single hop).  Topology
-        # never changes after build, so entries are computed once.
-        self._express_paths: dict = {}
         # Pending injected faults (see inject_corruption / inject_drop):
         # each entry applies to one future transfer completion.
         self._fault_corruptions: Deque[tuple] = deque()
@@ -112,13 +98,9 @@ class Channel(Component):
 
     def submit(self, message: "NocMessage") -> None:
         """Queue a message for transmission (never drops)."""
-        flight = self._express_flight
-        if flight is not None:
-            # New traffic on a reserved channel: de-speculate the express
-            # flight first so this message sees exact slow-path state.
-            flight.materialize()
         self._pending.append(message)
-        self._try_start()
+        if not self._transfer_in_progress:
+            self._try_start()
 
     @property
     def queue_len(self) -> int:
@@ -130,15 +112,6 @@ class Channel(Component):
         """Credits currently available."""
         return self._credits
 
-    def can_accept(self, limit: int = 1) -> bool:
-        """True when the sender-side queue is below ``limit``.
-
-        Routers use this to decide whether moving a message here would
-        simply relocate a queue; keeping the limit small propagates
-        backpressure toward the source instead of hiding it.
-        """
-        return len(self._pending) < limit
-
     # ------------------------------------------------------------------
     # Receiver interface
     # ------------------------------------------------------------------
@@ -148,7 +121,8 @@ class Channel(Component):
         if self._credits >= self._max_credits:
             raise RuntimeError(f"{self.name}: credit overflow")
         self._credits += 1
-        self._try_start()
+        if self._pending and not self._transfer_in_progress:
+            self._try_start()
 
     @property
     def max_credits(self) -> int:
@@ -172,9 +146,6 @@ class Channel(Component):
         message still delivers -- detection is the receiver's job, at
         checksum/ICV verification points.
         """
-        flight = self._express_flight
-        if flight is not None:
-            flight.materialize()
         self._fault_corruptions.append((rng, bits, offset))
 
     def inject_drop(self, leak_credit: bool = True) -> None:
@@ -184,9 +155,6 @@ class Channel(Component):
         returned, permanently shrinking the channel's pool -- the classic
         leak that eventually wedges a lossless mesh.
         """
-        flight = self._express_flight
-        if flight is not None:
-            flight.materialize()
         self._fault_drops.append(leak_credit)
 
     # ------------------------------------------------------------------
@@ -207,29 +175,20 @@ class Channel(Component):
         if self._transfer_in_progress or not self._pending:
             return
         if self._credits <= 0:
-            self.stall_events.add()
-            return
-        if (self._express_route is not None
-                and len(self._pending) == 1
-                and self._express_flight is None
-                and not self._fault_drops
-                and not self._fault_corruptions
-                and self._express_route(self._pending[0], self)):
-            # The whole route was idle: the message now travels as an
-            # ExpressFlight; the sender-side slot is free, as below.
-            self._pending.popleft()
-            if self.on_drain is not None:
-                self.on_drain()
+            self.stall_events.value += 1
             return
         message = self._pending.popleft()
         bits = message.bits
         self._credits -= 1
         self._transfer_in_progress = True
-        start = max(self.now, self._busy_until)
-        duration = self._serialization_ps(bits)
-        self._busy_until = start + duration
+        duration = self._ser_cache.get(bits)
+        if duration is None:
+            duration = self._serialization_ps(bits)
+        # The previous transfer ended by the time its _complete cleared
+        # _transfer_in_progress, so the wires are free from now on.
+        self._busy_until = self.sim.now + duration
         self._busy_accum_ps += duration
-        self.schedule(self._busy_until - self.now, self._complete, message)
+        self.schedule(duration, self._complete, message)
         self.sent.value += 1
         self.bits_sent.value += bits
         if self.on_drain is not None:
@@ -249,21 +208,21 @@ class Channel(Component):
                 self._credits += 1
             if ctx is not None:
                 tracer.instant(ctx, "wire_drop", self.name, self.now)
-            self._try_start()
+            if self._pending:
+                self._try_start()
             return
         if self._fault_corruptions:
             rng, bits, offset = self._fault_corruptions.popleft()
             self._apply_corruption(message, rng, bits, offset)
         message.hops += 1
         if ctx is not None:
-            # The transfer window is [now - serialization, now]: identical
-            # to the arithmetic window express flights synthesize, so
-            # fast- and slow-path traces line up span for span.
+            # The transfer window is [now - serialization, now].
             tracer.hop(ctx, self.name,
                        self.now - self._serialization_ps(message.bits),
                        self.now)
         self.deliver(message, self)
-        self._try_start()
+        if self._pending and not self._transfer_in_progress:
+            self._try_start()
 
     def _apply_corruption(self, message: "NocMessage", rng, bits: int,
                           offset: Optional[int]) -> None:
@@ -279,45 +238,10 @@ class Channel(Component):
         message.packet.data = bytes(data)
         self.corrupted.add()
 
-    # ------------------------------------------------------------------
-    # Express (cut-through) bookkeeping -- see repro.noc.express
-    # ------------------------------------------------------------------
-
-    def _account_express_hop(self, bits: int, start: int, end: int) -> None:
-        """Retroactively apply a collapsed hop's statistics.
-
-        The hop occupied the wires during ``[start, end]``; credits were
-        consumed at ``start`` and returned at ``end`` by the downstream
-        router's forward, so their net effect is zero.
-        """
-        self.sent.value += 1
-        self.bits_sent.value += bits
-        self._busy_accum_ps += end - start
-        if end > self._busy_until:
-            self._busy_until = end
-
-    def _materialize_transfer(self, message: "NocMessage", start: int,
-                              end: int) -> None:
-        """Reconstruct an in-progress slow-path transfer for ``message``.
-
-        Called by a de-speculating express flight for the hop whose
-        serialization window covers the current time: the channel becomes
-        busy until ``end`` with a genuine ``_complete`` event, exactly as
-        if the transfer had started at ``start`` on the slow path.
-        """
-        self._transfer_in_progress = True
-        self._credits -= 1
-        self._busy_until = end
-        self._busy_accum_ps += end - start
-        self.sent.add()
-        self.bits_sent.add(message.bits)
-        self.sim.schedule_at(end, self._complete, message)
-
     def utilization(self, elapsed_ps: int) -> float:
         """Fraction of ``[0, elapsed_ps]`` the wires spent busy.
 
-        Serialization time is accumulated per transfer (including
-        collapsed express hops); any portion of an in-progress transfer
+        Serialization time is accumulated per transfer; any portion of an in-progress transfer
         beyond ``elapsed_ps`` is excluded.
         """
         if elapsed_ps <= 0:

@@ -13,10 +13,9 @@ which is what the per-engine lightweight lookup tables store as next hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.noc.channel import Channel
-from repro.noc.express import ExpressFlight
 from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint, Router
 from repro.packet.packet import Packet
@@ -47,11 +46,6 @@ class MeshConfig:
     channel_bits: int = 64
     freq_hz: float = 500 * MHZ
     credits: int = 8
-    #: Enable cut-through express transfers over idle paths (see
-    #: :mod:`repro.noc.express`).  Simulated timestamps, delivery order,
-    #: and quiesced statistics are identical either way; disabling only
-    #: forces every hop through the per-event slow path.
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -112,7 +106,7 @@ class Mesh:
         self._routers: Dict[Tuple[int, int], Router] = {}
         self._endpoints: Dict[int, Endpoint] = {}
         self.channels: List[Channel] = []
-        # Receiver router of every channel, for express route walks.
+        # Receiver router of every channel (walked by repro.core.train).
         self._channel_sink: Dict[Channel, Router] = {}
         self._build()
 
@@ -173,8 +167,6 @@ class Mesh:
                 neighbour.register_input(channel)
                 self.channels.append(channel)
                 self._channel_sink[channel] = neighbour
-                if cfg.fast_path:
-                    channel._express_route = self._try_express
 
     # ------------------------------------------------------------------
     # Endpoint binding
@@ -203,89 +195,7 @@ class Mesh:
         router.register_input(inject)
         self.channels.append(inject)
         self._channel_sink[inject] = router
-        if self.config.fast_path:
-            inject._express_route = self._try_express
         return NocPort(self, endpoint, inject)
-
-    # ------------------------------------------------------------------
-    # Cut-through fast path (see repro.noc.express)
-    # ------------------------------------------------------------------
-
-    def _build_express_path(
-        self, channel: Channel, dest: int
-    ) -> Optional[Tuple[Tuple[Channel, ...], Tuple[Router, ...], Router, tuple]]:
-        """Trace the static dimension-ordered route from ``channel`` to
-        ``dest``, or None when express can never apply (single-hop routes
-        save no events; unroutable destinations must raise on the slow
-        path at their normal simulated time)."""
-        sink = self._channel_sink
-        router = sink[channel]
-        if router.address == dest:
-            return None
-        channels = [channel]
-        routers: List[Router] = []
-        while router.address != dest:
-            try:
-                direction = router.route(dest)
-            except ValueError:
-                return None
-            out = router._out.get(direction)
-            if out is None:
-                return None
-            routers.append(router)
-            channels.append(out)
-            router = sink[out]
-        # Pair each forwarding router with its outgoing channel so the
-        # per-message idle scan is one fused loop.
-        checks = tuple(zip(routers, channels[1:]))
-        return tuple(channels), tuple(routers), router, checks
-
-    def _try_express(self, message: NocMessage, channel: Channel) -> bool:
-        """Attempt to cut a message through an entirely idle route.
-
-        Called by an idle channel's ``_try_start``; when every channel and
-        forwarding router ahead on the (cached, static) dimension-ordered
-        route is idle, unreserved, and fault-free, the traversal collapses
-        into a single :class:`ExpressFlight` delivery event.  Returns
-        False to let the per-hop slow path proceed.
-        """
-        dest = message.dest_addr
-        cache = channel._express_paths
-        try:
-            path = cache[dest]
-        except KeyError:
-            path = self._build_express_path(channel, dest)
-            cache[dest] = path
-        if path is None:
-            return False
-        channels, routers, final_router, checks = path
-        for router, out in checks:
-            if (router._buffered
-                    or out._express_flight is not None
-                    or out._transfer_in_progress
-                    or out._pending
-                    or out._credits <= 0
-                    or out._fault_drops
-                    or out._fault_corruptions):
-                return False
-        bits = message.bits
-        # Every channel in a mesh shares one width and clock, so one
-        # serialization delay covers every hop: hop i's window follows
-        # arithmetically from (now, ser) inside the flight.
-        ser = channel._serialization_ps(bits)
-        ExpressFlight(self.sim, message, channels, routers, final_router,
-                      bits, self.sim.now, ser)
-        return True
-
-    @property
-    def express_in_flight(self) -> int:
-        """Messages currently travelling as collapsed express flights."""
-        flights = {
-            ch._express_flight
-            for ch in self.channels
-            if ch._express_flight is not None
-        }
-        return len(flights)
 
     def endpoint_at(self, address: int) -> Endpoint:
         try:
@@ -327,10 +237,9 @@ class Mesh:
 
     @property
     def in_flight(self) -> int:
-        """Messages buffered in routers or queued/serializing on channels,
-        plus any collapsed express flights still travelling."""
+        """Messages buffered in routers or queued on channels."""
         queued = sum(channel.queue_len for channel in self.channels)
-        return self.buffered_messages + queued + self.express_in_flight
+        return self.buffered_messages + queued
 
     @property
     def credit_deficit(self) -> int:
@@ -368,9 +277,6 @@ class Mesh:
                     f"  router {router.name}: {router.buffered_messages} "
                     "buffered messages"
                 )
-        express = self.express_in_flight
-        if express:
-            lines.append(f"  {express} express flight(s) awaiting delivery")
         if not lines:
             return f"{self.name}: fully drained"
         header = (

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.packet.packet import Packet
-
-_message_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -25,7 +21,9 @@ class NocMessage:
     src_addr: int
     inject_ps: int = 0
     hops: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    #: Bits this message occupies on a channel (packet + chain header),
+    #: taken once at creation: nothing in the mesh resizes a packet.
+    bits: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.dest_addr < 0 or self.src_addr < 0:
@@ -33,14 +31,10 @@ class NocMessage:
                 f"engine addresses must be non-negative "
                 f"(src={self.src_addr}, dest={self.dest_addr})"
             )
-
-    @property
-    def bits(self) -> int:
-        """Bits this message occupies on a channel (packet + chain header)."""
-        return self.packet.chip_bits
+        self.bits = self.packet.chip_bits
 
     def __repr__(self) -> str:
         return (
-            f"NocMessage(#{self.message_id}, {self.src_addr}->{self.dest_addr}, "
+            f"NocMessage({self.src_addr}->{self.dest_addr}, "
             f"{self.bits} bits, hops={self.hops})"
         )

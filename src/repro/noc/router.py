@@ -10,6 +10,10 @@ Input buffering is per-upstream-channel FIFO with credits (see
 :mod:`repro.noc.channel`); the router moves head-of-line messages to output
 channels whenever the output can accept, and stalls otherwise, propagating
 backpressure toward the source.
+
+Routes are static, so each router resolves a destination's output channel
+once and keeps it in a next-hop table; a message arriving at an idle
+router is forwarded straight away instead of through the round-robin scan.
 """
 
 from __future__ import annotations
@@ -87,12 +91,12 @@ class Router(Component):
         # One FIFO of (message, in_channel) per upstream channel.
         self._inputs: Dict[Channel, Deque[Tuple[NocMessage, Channel]]] = {}
         self._rr_order: List[Channel] = []
+        # Destination address -> output channel, filled on first use.
+        # Only resolvable destinations are stored, so an unroutable one
+        # raises at every forward that tries it.
+        self._next_hop: Dict[int, Channel] = {}
         self._pumping = False
         self._pump_again = False
-        # Express flights currently cut-through-routed *through* this
-        # router (see repro.noc.express); a foreign delivery while any are
-        # reserved must de-speculate them before entering the queues.
-        self._express_flights: list = []
         self._buffered = 0
         self.forwarded = Counter(f"{name}.forwarded")
         self.delivered = Counter(f"{name}.delivered")
@@ -127,18 +131,41 @@ class Router(Component):
     # ------------------------------------------------------------------
 
     def on_deliver(self, message: NocMessage, channel: Channel) -> None:
-        """Channel delivery callback: buffer the message, then pump."""
-        if self._express_flights:
-            # Arriving traffic can contend with flights crossing this
-            # router: commit crossings already past, de-speculate the rest.
-            for flight in list(self._express_flights):
-                flight.interfere(self)
+        """Channel delivery callback: buffer the message, then pump.
+
+        At an idle router the message is the only one buffered, so the
+        pump's scan would find it first and try it once: forward it
+        directly, then rotate the round-robin order once for that pass
+        and once per pass a re-entrant :meth:`pump` (an output's
+        ``on_drain``, the endpoint's ``notify_space``) asked for.
+        """
         queue = self._inputs.get(channel)
         if queue is None:
             raise RuntimeError(f"{self.name}: delivery from unregistered channel")
-        queue.append((message, channel))
-        self._buffered += 1
-        self.pump()
+        if self._buffered or self._pumping:
+            queue.append((message, channel))
+            self._buffered += 1
+            self.pump()
+            return
+        self._pumping = True
+        # Counted as buffered while it is tried, as in the scan.
+        self._buffered = 1
+        try:
+            if self._forward(message):
+                self._buffered = 0
+                channel.release_credit()
+            else:
+                queue.append((message, channel))
+            rr = self._rr_order
+            rr.append(rr.pop(0))
+            while self._pump_again:
+                self._pump_again = False
+                if self._buffered:
+                    self._pump_once()
+                else:
+                    rr.append(rr.pop(0))
+        finally:
+            self._pumping = False
 
     def pump(self) -> None:
         """Move head-of-line messages onward while progress is possible.
@@ -204,18 +231,35 @@ class Router(Component):
                 return False
             self.delivered.value += 1
             return True
-        direction = self.route(message.dest_addr)
-        out = self._out.get(direction)
+        out = self._next_hop.get(message.dest_addr)
         if out is None:
-            raise RuntimeError(
-                f"{self.name}: no {direction} link toward address "
-                f"{message.dest_addr}"
-            )
-        if not out.can_accept():
+            out = self.next_hop(message.dest_addr)
+        if out._pending:
+            # Queueing behind a waiting message would only relocate the
+            # queue; refusing propagates backpressure toward the source.
             return False
         self.forwarded.value += 1
         out.submit(message)
         return True
+
+    def next_hop(self, dest_addr: int) -> Channel:
+        """The output channel toward ``dest_addr`` (XY route).
+
+        Raises ValueError for an address outside the mesh and
+        RuntimeError when the route leaves through an unwired side.
+        """
+        out = self._next_hop.get(dest_addr)
+        if out is not None:
+            return out
+        direction = self.route(dest_addr)
+        out = self._out.get(direction)
+        if out is None:
+            raise RuntimeError(
+                f"{self.name}: no {direction} link toward address "
+                f"{dest_addr}"
+            )
+        self._next_hop[dest_addr] = out
+        return out
 
     def route(self, dest_addr: int) -> str:
         """Dimension-ordered (X first, then Y) next-hop decision."""
@@ -232,20 +276,6 @@ class Router(Component):
             f"{self.name}: routing to self (address {dest_addr}); "
             "local delivery should have been taken"
         )
-
-    def _account_express_forward(self) -> None:
-        """Retroactively apply one collapsed express forward.
-
-        Replays exactly what an uncontended slow-path forward does to this
-        router's observable state: one ``forwarded`` count, and the two
-        round-robin rotations of the pump pass plus its ``on_drain``
-        re-entry -- keeping future arbitration order bit-identical.
-        """
-        self.forwarded.value += 1
-        rr = self._rr_order
-        if rr:
-            rr.append(rr.pop(0))
-            rr.append(rr.pop(0))
 
     @property
     def buffered_messages(self) -> int:

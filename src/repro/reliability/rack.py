@@ -58,7 +58,6 @@ def build_reliable_rack_nic(
     payload_bytes: int = 256,
     pattern: str = "symmetric",
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
     window: int = DEFAULT_WINDOW,
@@ -93,7 +92,6 @@ def build_reliable_rack_nic(
         ports=n_nics - 1,
         offloads=("checksum", "checksum1") if failover else ("checksum",),
         seed=seed + index,
-        fast_path=fast_path,
         telemetry=telemetry,
         verify_checksums=True,
     )
@@ -188,7 +186,6 @@ def reliable_rack_topology(
     payload_bytes: int = 256,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     window: int = DEFAULT_WINDOW,
     max_retries: int = DEFAULT_MAX_RETRIES,
@@ -214,7 +211,6 @@ def reliable_rack_topology(
                 "payload_bytes": payload_bytes,
                 "pattern": pattern,
                 "seed": seed,
-                "fast_path": fast_path,
                 "telemetry": telemetry,
                 "propagation_ps": propagation_ps,
                 "window": window,

@@ -20,14 +20,13 @@ Determinism contract
 * Span identity must be **mode-independent**: ``trace_id`` is the
   per-NIC sampled-packet ordinal (injection arrival order is identical
   between monolithic and sharded execution) and ``seq`` is the per-trace
-  emission ordinal (the per-packet causal order, identical between the
-  slow path and cut-through express flights, which synthesize hop spans
-  in route order -- exactly the slow path's completion order).  Global
-  counters (packet ids, kernel sequence numbers) never appear in spans:
-  they differ across execution modes.
+  emission ordinal (the per-packet causal order: hop spans are emitted
+  as each channel completes, in route order).  Global counters (packet
+  ids, kernel sequence numbers) never appear in spans: they differ
+  across execution modes.
 * The canonical report form is a **sorted list of plain tuples**
   (:meth:`PacketTracer.report`), so two runs whose emission *order*
-  differed mid-flight (express retro-accounting) still compare equal.
+  differed mid-flight (sharded vs monolithic) still compare equal.
 """
 
 from __future__ import annotations
@@ -214,9 +213,9 @@ class PacketTracer:
         """Canonical picklable form: sorted plain tuples.
 
         Sorted by the unique ``(trace_id, seq)`` prefix, so reports from
-        runs with different mid-flight emission order (fast path vs slow
-        path, sharded vs monolithic) compare equal exactly when the
-        recorded telemetry is equal.
+        runs with different mid-flight emission order (sharded vs
+        monolithic) compare equal exactly when the recorded telemetry is
+        equal.
         """
         return sorted(tuple(span) for span in self.spans)
 

@@ -125,7 +125,6 @@ def build_rack_nic(
     payload_bytes: int = 256,
     pattern: str = "symmetric",
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     batch: bool = False,
     flow_id: str = "auto",
@@ -154,7 +153,6 @@ def build_rack_nic(
         ports=n_nics - 1,
         offloads=("checksum",),
         seed=seed + index,
-        fast_path=fast_path,
         telemetry=telemetry,
         batch_execution=batch,
         mesh_width=mesh_side,
@@ -262,7 +260,6 @@ def rack_topology(
     payload_bytes: int = 256,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     batch: bool = False,
     flow_id: str = "auto",
@@ -286,7 +283,6 @@ def rack_topology(
                 "payload_bytes": payload_bytes,
                 "pattern": pattern,
                 "seed": seed,
-                "fast_path": fast_path,
                 "telemetry": telemetry,
                 "batch": batch,
                 "flow_id": flow_id,

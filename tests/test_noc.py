@@ -162,6 +162,49 @@ class TestMeshRouting:
             MeshConfig(credits=0)
 
 
+class TestUnroutableDestination:
+    """A destination outside the mesh raises ValueError at the first
+    router that tries to forward it, when the inject hop completes --
+    at every such forward, never earlier (at build or send time)."""
+
+    #: One 64-byte inject hop: 512 / 64 = 8 cycles + 1 router cycle.
+    HOP = 9 * 2000
+
+    def test_raises_at_first_forwarding_router(self, sim):
+        mesh, _, ports = build_mesh(sim, 3, 3)
+        ports[(0, 0)].send(Packet(b"\x00" * 64), 9)
+        sim.schedule_at(100_000, ports[(2, 0)].send,
+                        Packet(b"\x00" * 64), 9)
+        with pytest.raises(ValueError, match="outside 3x3 mesh"):
+            sim.run()
+        assert sim.now == self.HOP
+        # A second message to the same address raises again at its own
+        # forward: the failure is not cached as a route.
+        with pytest.raises(ValueError, match="outside 3x3 mesh"):
+            sim.run()
+        assert sim.now == 100_000 + self.HOP
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_chain_to_unroutable_engine_raises_at_forward(self, batch):
+        from repro.core import PanicConfig, PanicNic
+        from repro.packet import build_udp_frame
+
+        sim = Simulator()
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("checksum",), batch_execution=batch))
+        nic.control.route_dscp(1, ["checksum", 40])
+        frame = build_udp_frame(
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
+            payload=b"x" * 64, dscp=1)
+        sim.schedule_at(1000, nic.inject, Packet(frame))
+        with pytest.raises(ValueError, match="address 40 outside 4x4"):
+            sim.run()
+        # The instant the checksum engine's send reaches its router, as
+        # recorded on the reference per-hop implementation.
+        assert sim.now == 166_330
+
+
 class TestCrossbar:
     def test_delivery(self, sim):
         xbar = Crossbar(sim, ports=4)

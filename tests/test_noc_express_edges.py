@@ -1,20 +1,19 @@
-"""Edge cases for the NoC cut-through (express) fast path.
+"""Edge cases of the per-hop NoC path on a straight mesh row.
 
-:mod:`repro.noc.express` promises the fast path is invisible in
-simulated terms even when a flight is disturbed mid-route.  These tests
-pin the two nastiest interactions down as fast-vs-slow equivalence runs:
+Two interactions between faults, foreign traffic and credits:
 
-* a foreign delivery commits a prefix of the flight's crossings, after
-  which a fault (corruption or flit drop) armed on one of those
-  *committed* hops must materialize the still-collapsed remainder and
-  hit the **next** message over that wire -- never the flight's own;
-* a flight whose final-hop credit pool hits zero in the very window it
-  delivers (bounded lossless endpoint refusing the message), stalling
+* a fault (corruption or flit drop) armed on a hop a long-haul message
+  has already crossed, while foreign traffic enters a router on its
+  route, must hit the **next** message over that wire -- never the
+  long-haul message itself;
+* a message whose final-hop credit pool hits zero in the very window it
+  delivers (bounded lossless endpoint refusing the message) stalls
   follow-up traffic until the endpoint frees space.
 
-Every observable -- delivery payloads, hop counts, picosecond
-timestamps, channel counters, credit deficits -- must be bit-identical
-with ``MeshConfig.fast_path`` on or off.
+The scenario runners are shared with ``tests/test_noc_golden.py``,
+which pins every observable of both runs -- delivery payloads, hop
+counts, picosecond timestamps, channel counters, credit deficits and
+the kernel's event count -- to digests recorded on the per-hop path.
 """
 
 import random
@@ -60,10 +59,9 @@ class StingySink(Sink):
             self.notify_space()
 
 
-def build_row(sim, length, fast_path, credits=8, stingy_at=None):
+def build_row(sim, length, credits=8, stingy_at=None):
     """A 1-high mesh row: long straight routes, deterministic timing."""
-    mesh = Mesh(sim, MeshConfig(width=length, height=1, credits=credits,
-                                fast_path=fast_path))
+    mesh = Mesh(sim, MeshConfig(width=length, height=1, credits=credits))
     sinks, ports = {}, {}
     for x in range(length):
         sink = StingySink(sim) if x == stingy_at else Sink(sim)
@@ -90,24 +88,20 @@ def _observables(mesh, sinks):
 
 
 # ----------------------------------------------------------------------
-# Fault armed on a committed hop of a partially-interfered flight
+# Fault armed on a hop a long-haul message already crossed
 # ----------------------------------------------------------------------
 
 
-def run_committed_hop_fault(fast_path, fault):
-    """Message A cuts through a 6-tile row (0 -> 5).  A local delivery
-    into router 1 at t=40us lands after A's crossing ended (36us), so the
-    flight commits its first two hops and stays collapsed.  A fault then
-    armed on committed hop ``ch_0_0_east`` must materialize the
-    remainder and catch message C (0 -> 2), not A."""
+def run_committed_hop_fault(fault):
+    """Message A crosses a 6-tile row (0 -> 5).  A local delivery into
+    router 1 at t=40us lands after A left that router (36us).  A fault
+    then armed on the crossed hop ``ch_0_0_east`` must catch message C
+    (0 -> 2), not A.  Returns ``(sim, mesh, sinks)`` after the run."""
     sim = Simulator()
-    mesh, sinks, ports = build_row(sim, 6, fast_path)
+    mesh, sinks, ports = build_row(sim, 6)
     sim.schedule_at(0, ports[0].send, _packet(0xAA), 5)
-    express_probe = []
-    sim.schedule_at(1_000,
-                    lambda: express_probe.append(mesh.express_in_flight))
-    # Foreign traffic into an already-crossed router: commit, don't
-    # materialize (22us submit + one inject hop = 40us delivery).
+    # Foreign traffic into an already-crossed router (22us submit + one
+    # inject hop = 40us delivery).
     sim.schedule_at(22_000, ports[1].send, _packet(0xBB), 1)
     wire = mesh.channel("mesh.ch_0_0_east")
     if fault == "corruption":
@@ -117,24 +111,14 @@ def run_committed_hop_fault(fast_path, fault):
     sim.schedule_at(60_000, ports[0].send, _packet(0xCC), 2)
     sim.run()
     mesh.assert_drained()
-    return _observables(mesh, sinks), sim.events_fired, express_probe
-
-
-@pytest.mark.parametrize("fault", ["corruption", "drop"])
-def test_committed_hop_fault_is_mode_invisible(fault):
-    obs_fast, events_fast, probe_fast = run_committed_hop_fault(True, fault)
-    obs_slow, events_slow, probe_slow = run_committed_hop_fault(False, fault)
-    assert obs_fast == obs_slow
-    # The fast run really did collapse the route; the slow run did not.
-    assert probe_fast == [1]
-    assert probe_slow == [0]
-    assert events_fast <= events_slow
+    return sim, mesh, sinks
 
 
 @pytest.mark.parametrize("fault", ["corruption", "drop"])
 def test_committed_hop_fault_hits_the_next_message(fault):
-    (deliveries, counters), _, _ = run_committed_hop_fault(True, fault)
-    # A arrives pristine at the analytic cut-through time: 6 hops.
+    _, mesh, sinks = run_committed_hop_fault(fault)
+    deliveries, counters = _observables(mesh, sinks)
+    # A arrives pristine at the analytic store-and-forward time: 6 hops.
     assert deliveries[5] == [(bytes([0xAA]) * 64, 6, 6 * SER)]
     # B's local delivery (the interferer) is untouched.
     assert deliveries[1] == [(bytes([0xBB]) * 64, 1, 40_000)]
@@ -156,50 +140,35 @@ def test_committed_hop_fault_hits_the_next_message(fault):
 
 
 # ----------------------------------------------------------------------
-# Cut-through whose final credit hits zero in the delivery window
+# Final credit hits zero in the delivery window
 # ----------------------------------------------------------------------
 
 
-def run_zero_credit_window(fast_path):
-    """With one credit per channel, flight A's delivery into the refusing
+def run_zero_credit_window():
+    """With one credit per channel, A's delivery into the refusing
     endpoint at tile 3 consumes the final hop's last credit in the same
-    window it finishes; follow-up C (2 -> 3) must wait for the endpoint
-    to free space before the credit loop moves again."""
+    window it arrives; follow-up C (2 -> 3) must wait for the endpoint
+    to free space before the credit loop moves again.  Returns
+    ``(sim, mesh, sinks)`` after the run."""
     sim = Simulator()
-    mesh, sinks, ports = build_row(sim, 4, fast_path, credits=1, stingy_at=3)
+    mesh, sinks, ports = build_row(sim, 4, credits=1, stingy_at=3)
     sim.schedule_at(0, ports[0].send, _packet(0xAA), 3)
-    express_probe = []
-    sim.schedule_at(1_000,
-                    lambda: express_probe.append(mesh.express_in_flight))
     sim.schedule_at(80_000, ports[2].send, _packet(0xCC), 3)
     sim.schedule_at(120_000, sinks[3].open)
     sim.run()
     mesh.assert_drained()
-    refusals = sinks[3].refusals
-    return _observables(mesh, sinks), sim.events_fired, express_probe, refusals
-
-
-def test_zero_credit_delivery_window_is_mode_invisible():
-    obs_fast, events_fast, probe_fast, refusals_fast = \
-        run_zero_credit_window(True)
-    obs_slow, events_slow, probe_slow, refusals_slow = \
-        run_zero_credit_window(False)
-    assert obs_fast == obs_slow
-    assert refusals_fast == refusals_slow
-    assert probe_fast == [1]
-    assert probe_slow == [0]
-    # The collapsed 4-hop traversal saved real kernel events.
-    assert events_fast < events_slow
+    return sim, mesh, sinks
 
 
 def test_zero_credit_delivery_window_timing():
-    (deliveries, counters), _, _, refusals = run_zero_credit_window(True)
+    _, mesh, sinks = run_zero_credit_window()
+    deliveries, counters = _observables(mesh, sinks)
     # A parked at the router until the endpoint opened at 120us.
     assert deliveries[3][0] == (bytes([0xAA]) * 64, 4, 120_000)
     # C could not even start its final hop while A held the only credit:
     # it serializes right after the release and lands one hop later.
     assert deliveries[3][1] == (bytes([0xCC]) * 64, 2, 120_000 + SER)
-    assert refusals >= 1
+    assert sinks[3].refusals >= 1
     # Quiesced credit pools are whole again.
     sent, corrupted, dropped, leaked, deficit = counters["mesh.ch_2_0_east"]
     assert (corrupted, dropped, leaked, deficit) == (0, 0, 0, 0)

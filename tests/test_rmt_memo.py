@@ -3,9 +3,9 @@
 ``PanicConfig.rmt_memo`` enables the flow-keyed trajectory memo
 (:class:`repro.rmt.pipeline.TrajectoryMemo`): repeat flows skip the
 match machinery while every action is re-executed on the live PHV.  The
-contract matches ``fast_path``: every simulated observable -- delivery
-tuples, picosecond timestamps, the full ``stats()`` tree, and table hit
-counters -- is bit-identical with the memo on or off.  The scenarios
+contract: every simulated observable -- delivery tuples, picosecond
+timestamps, the full ``stats()`` tree, and table hit counters -- is
+bit-identical with the memo on or off.  The scenarios
 here stress the cases where a naive result cache would diverge:
 control-plane reprogramming mid-run, time-dependent slack deadlines,
 stateful (register-touching and closure-state) policies, and failover

@@ -2,7 +2,7 @@
 
 ``repro.sim.shard`` partitions a rack topology across worker processes
 synchronized with conservative time windows.  The contract (DESIGN.md
-section 10) mirrors the fast-path one: every simulated observable --
+section 10): every simulated observable --
 per-NIC ``stats()`` trees, delivery tuples with picosecond timestamps --
 is bit-identical between the monolithic single-process run and the
 sharded run at any worker count.  These tests enforce it on the
